@@ -6,17 +6,11 @@
 
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "util/counters.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace smartsock::core {
 
 namespace {
-
-/// Receive-slot size for batched request drains; requirement text dominates
-/// a request and stays well under this.
-constexpr std::size_t kMaxRequestBytes = 8192;
 
 /// Reply-cache key: the full request identity minus the sequence number
 /// (which is echoed, not computed). '\x01' cannot appear in requirement
@@ -39,11 +33,8 @@ Wizard::Wizard(WizardConfig config, ipc::StatusStore& store, transport::Receiver
       matcher_(config_.match_threads),
       requirement_cache_(config_.cache_size),
       reply_cache_(config_.cache_size) {
-  if (config_.ingest_shards == 0) config_.ingest_shards = 1;
   net::UdpBindOptions bind_options;
-  bind_options.reuse_port = config_.ingest_shards > 1;
   bind_options.rcvbuf_bytes = config_.rcvbuf_bytes;
-  bind_options.track_kernel_drops = true;
   if (auto sock = net::UdpSocket::bind(config_.bind, bind_options)) {
     socket_ = std::move(*sock);
     socket_.set_traffic_counter(obs::MetricsRegistry::instance().traffic("wizard"));
@@ -53,37 +44,8 @@ Wizard::Wizard(WizardConfig config, ipc::StatusStore& store, transport::Receiver
                   ": " + std::strerror(errno);
     SMARTSOCK_LOG(kError, "wizard") << bind_error_;
   }
-  if (socket_.valid() && config_.ingest_shards > 1) {
-    // Shard group members bind the resolved endpoint; a failed member bind
-    // degrades to fewer shards rather than losing the service.
-    shards_.push_back(std::make_unique<IngestShard>());  // shard 0 = socket_
-    for (std::size_t i = 1; i < config_.ingest_shards; ++i) {
-      auto member = net::UdpSocket::bind(endpoint_, bind_options);
-      if (!member) {
-        SMARTSOCK_LOG(kWarn, "wizard")
-            << "reuseport shard " << i << " failed to bind " << endpoint_.to_string()
-            << "; running with " << i << " ingest shard(s)";
-        break;
-      }
-      member->set_traffic_counter(obs::MetricsRegistry::instance().traffic("wizard"));
-      auto shard = std::make_unique<IngestShard>();
-      shard->socket = std::move(*member);
-      shards_.push_back(std::move(shard));
-    }
-    if (shards_.size() == 1) shards_.clear();  // degraded all the way down
-  }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
-  rcvbuf_dropped_counter_ = registry.counter("udp_rcvbuf_dropped_total");
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::string shard_label = "{shard=\"" + std::to_string(i) + "\"}";
-    shards_[i]->requests = registry.counter("wizard_shard_requests_total" + shard_label);
-    shards_[i]->batches = registry.counter("wizard_shard_batches_total" + shard_label);
-    // Daemon-qualified: the monitor publishes its own per-shard series under
-    // the same metric name.
-    shards_[i]->rcvbuf_dropped = registry.counter(
-        "udp_rcvbuf_dropped_total{daemon=\"wizard\",shard=\"" + std::to_string(i) + "\"}");
-  }
   metrics_.requests = registry.counter("wizard_requests_total");
   metrics_.malformed = registry.counter("wizard_malformed_requests_total");
   metrics_.reply_hits = registry.counter("wizard_reply_cache_hits_total");
@@ -131,7 +93,6 @@ WizardReply Wizard::handle(const UserRequest& request, std::uint64_t parent_span
     double micros = std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - started)
                         .count();
-    latency_.record_us(micros);
     metrics_.latency_us->record_us(micros);
     return out;
   };
@@ -252,95 +213,41 @@ lang::RequirementCache::Stats Wizard::reply_cache_stats() const {
   return {reply_hits_, reply_misses_, reply_cache_.evictions(), reply_cache_.size()};
 }
 
-bool Wizard::handle_datagram(const std::string& payload, const net::Endpoint& peer,
-                             std::string& reply_wire) {
-  auto request = UserRequest::from_wire(payload);
+bool Wizard::poll_once(util::Duration timeout) {
+  if (!socket_.valid()) return false;
+  auto datagram = socket_.receive(timeout);
+  if (!datagram) return false;
+
+  auto request = UserRequest::from_wire(datagram->payload);
   if (!request) {
     metrics_.malformed->inc();
-    SMARTSOCK_LOG(kWarn, "wizard") << "malformed request from " << peer.to_string();
+    SMARTSOCK_LOG(kWarn, "wizard") << "malformed request from "
+                                   << datagram->peer.to_string();
     return false;
   }
   metrics_.requests->inc();
   obs::TraceEvent(util::LogLevel::kDebug, "wizard", "request_dequeue", request->trace_id)
       .kv("seq", request->sequence)
-      .kv("peer", peer.to_string())
+      .kv("peer", datagram->peer.to_string())
       .kv("requested", request->server_num);
   obs::Span request_span("wizard", "request", request->trace_id, 0, *config_.spans);
-  request_span.tag("seq", request->sequence).tag("peer", peer.to_string());
+  request_span.tag("seq", request->sequence).tag("peer", datagram->peer.to_string());
   WizardReply reply = handle(*request, request_span.id());
-  reply_wire = reply.to_wire();
+  std::string wire = reply.to_wire();
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceEvent(util::LogLevel::kDebug, "wizard", "reply_send", request->trace_id)
       .kv("seq", request->sequence)
       .kv("ok", reply.ok)
       .kv("servers", reply.servers.size())
-      .kv("bytes", reply_wire.size());
-  request_span.tag("ok", reply.ok).tag("bytes", reply_wire.size());
-  return true;
-}
-
-bool Wizard::poll_once(util::Duration timeout) {
-  if (!socket_.valid()) return false;
-  auto datagram = socket_.receive(timeout);
-  if (!datagram) return false;
-  std::string wire;
-  if (!handle_datagram(datagram->payload, datagram->peer, wire)) return false;
+      .kv("bytes", wire.size());
+  request_span.tag("ok", reply.ok).tag("bytes", wire.size());
   socket_.send_to(wire, datagram->peer);
   return true;
-}
-
-void Wizard::drain_shard(std::size_t shard) {
-  IngestShard& state = *shards_[shard];
-  net::UdpSocket& sock = shard_socket(shard);
-  std::size_t cap = config_.shard_batch > 0 ? config_.shard_batch : 1;
-  std::size_t received = sock.try_receive_batch(state.in_batch, cap, kMaxRequestBytes);
-  // Publish kernel receive-queue overflow (SO_RXQ_OVFL) deltas even on an
-  // empty drain — the callback also fires for error-flagged readiness.
-  std::uint64_t drops = sock.kernel_drops();
-  if (drops > state.drops_published) {
-    std::uint64_t delta = drops - state.drops_published;
-    state.drops_published = drops;
-    state.rcvbuf_dropped->inc(delta);
-    rcvbuf_dropped_counter_->inc(delta);
-  }
-  if (received == 0) return;
-  state.out_batch.clear();
-  for (std::size_t i = 0; i < received; ++i) {
-    std::string wire;
-    if (!handle_datagram(state.in_batch[i].payload, state.in_batch[i].peer, wire)) continue;
-    state.out_batch.push_back(net::Datagram{std::move(wire), state.in_batch[i].peer});
-  }
-  state.requests->inc(received);
-  state.batches->inc();
-  // Replies for the whole batch leave in one sendmmsg, from the same bound
-  // port the request arrived on — source-address compatible with the
-  // single-socket wizard.
-  if (!state.out_batch.empty()) sock.send_batch(state.out_batch);
 }
 
 bool Wizard::start() {
   if (!socket_.valid() || !threads_.empty()) return false;
   stop_requested_.store(false, std::memory_order_release);
-  if (!shards_.empty()) {
-    if (shards_[0]->reactor != nullptr) return false;  // already running
-    // Reactor-driven shard group: each reuseport socket is watched by its
-    // own loop; readable callbacks drain a batch and reply in a batch.
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      net::UdpSocket& sock = shard_socket(i);
-      sock.set_nonblocking(true);
-      auto reactor = std::make_unique<net::Reactor>();
-      if (!reactor->start()) return false;
-      if (config_.pin_shards) {
-        std::size_t cpu = i;
-        reactor->post([cpu] { util::pin_current_thread(cpu); });
-      }
-      reactor->add_fd_watch(
-          sock.fd(), [this, i] { drain_shard(i); },
-          "wizard_shard_" + std::to_string(i));
-      shards_[i]->reactor = std::move(reactor);
-    }
-    return true;
-  }
   std::size_t handlers = config_.handler_threads > 0 ? config_.handler_threads : 1;
   threads_.reserve(handlers);
   for (std::size_t i = 0; i < handlers; ++i) {
@@ -351,12 +258,6 @@ bool Wizard::start() {
 
 void Wizard::stop() {
   stop_requested_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) {
-    if (shard->reactor != nullptr) {
-      shard->reactor->stop();
-      shard->reactor.reset();
-    }
-  }
   for (std::thread& thread : threads_) {
     if (thread.joinable()) thread.join();
   }

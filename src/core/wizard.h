@@ -18,13 +18,11 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/server_matcher.h"
-#include "net/reactor.h"
 #include "ipc/status_store.h"
 #include "lang/requirement_cache.h"
 #include "net/udp_socket.h"
@@ -32,7 +30,6 @@
 #include "obs/span.h"
 #include "transport/receiver.h"
 #include "transport/transmitter.h"
-#include "util/counters.h"
 #include "util/lru.h"
 
 namespace smartsock::core {
@@ -43,27 +40,11 @@ struct WizardConfig {
   std::string local_group = "local";
 
   /// Request-loop threads draining the UDP socket (start() spawns this many).
-  /// Only used for the single-shard (default) configuration.
   std::size_t handler_threads = 1;
 
-  /// Ingest shard group (ROADMAP item 2): >1 binds this many SO_REUSEPORT
-  /// sockets to the service port and drains each from its own reactor via
-  /// readable callbacks — batched recvmmsg in, batched sendmmsg replies out,
-  /// no blocking request loops. The kernel spreads clients across shards by
-  /// 4-tuple; replies leave from the same port, so clients see byte-identical
-  /// protocol behavior. 1 (the default) keeps the blocking handler_threads
-  /// path exactly.
-  std::size_t ingest_shards = 1;
-
-  /// Pin shard i's reactor loop to CPU (i mod cores). Best-effort.
-  bool pin_shards = true;
-
-  /// SO_RCVBUF for the request sockets; 0 keeps the kernel default.
+  /// SO_RCVBUF for the request socket; 0 keeps the kernel default.
   int rcvbuf_bytes = 0;
 
-  /// Max requests drained per shard readable callback; readiness is
-  /// level-triggered, so leftovers re-fire the callback immediately.
-  std::size_t shard_batch = 64;
   /// Threads per matcher pass over the sys records (<= 1: serial scan).
   std::size_t match_threads = 1;
   /// Capacity of the compiled-requirement cache and of the reply cache;
@@ -125,23 +106,9 @@ class Wizard {
   /// Fast-path observability.
   const lang::RequirementCache& requirement_cache() const { return requirement_cache_; }
   lang::RequirementCache::Stats reply_cache_stats() const;
-  const util::LatencyRecorder& latency() const { return latency_; }
-
-  /// Sockets actually bound into the reuseport group (1 when unsharded or a
-  /// group bind degraded).
-  std::size_t ingest_shards() const { return shards_.empty() ? 1 : shards_.size(); }
 
  private:
   void run_loop();
-  /// Parses `payload`, runs handle(), and serializes the reply into
-  /// `reply_wire`. False (empty reply) for malformed requests. Shared by the
-  /// blocking poll path and the shard drain path.
-  bool handle_datagram(const std::string& payload, const net::Endpoint& peer,
-                       std::string& reply_wire);
-  net::UdpSocket& shard_socket(std::size_t shard) {
-    return shard == 0 ? socket_ : shards_[shard]->socket;
-  }
-  void drain_shard(std::size_t shard);
 
   WizardConfig config_;
   ipc::StatusStore* store_;
@@ -168,8 +135,6 @@ class Wizard {
   std::uint64_t reply_hits_ = 0;
   std::uint64_t reply_misses_ = 0;
 
-  util::LatencyRecorder latency_;
-
   // Process-wide metrics (obs::MetricsRegistry). Shared across wizard
   // instances by name; pointers are registry-owned and process-lifetime.
   struct Metrics {
@@ -190,22 +155,6 @@ class Wizard {
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint64_t> requests_served_{0};
-
-  // Reuseport shard group: N entries when config.ingest_shards > 1, empty
-  // otherwise. Entry 0's socket member is unused (shard 0 drains socket_);
-  // reactors are created by start() and torn down by stop().
-  struct IngestShard {
-    net::UdpSocket socket;  // invalid for shard 0 (socket_ is used)
-    std::unique_ptr<net::Reactor> reactor;
-    std::vector<net::Datagram> in_batch;   // reused receive buffers
-    std::vector<net::Datagram> out_batch;  // replies for one drained batch
-    obs::Counter* requests = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* rcvbuf_dropped = nullptr;
-    std::uint64_t drops_published = 0;
-  };
-  std::vector<std::unique_ptr<IngestShard>> shards_;
-  obs::Counter* rcvbuf_dropped_counter_ = nullptr;
 };
 
 }  // namespace smartsock::core

@@ -52,9 +52,21 @@ ReplicaSelector::ReplicaSelector(std::vector<net::Endpoint> endpoints,
   }
 }
 
-double ReplicaSelector::score_locked(const Replica& replica) const {
-  double latency =
-      replica.has_latency ? replica.ewma_latency_us : config_.untried_latency_us;
+double ReplicaSelector::untried_prior_locked() const {
+  // A loaded primary can measure well above the static prior, so the prior
+  // rises to the slowest replica whose last attempt succeeded; select()
+  // breaks the resulting tie toward the tried replica.
+  double prior = config_.untried_latency_us;
+  for (const auto& replica : replicas_) {
+    if (replica->has_latency && replica->consecutive_failures == 0) {
+      prior = std::max(prior, replica->ewma_latency_us);
+    }
+  }
+  return prior;
+}
+
+double ReplicaSelector::score_locked(const Replica& replica, double untried_prior) const {
+  double latency = replica.has_latency ? replica.ewma_latency_us : untried_prior;
   double score = latency + replica.consecutive_failures * config_.failure_penalty_us;
   switch (replica.breaker.state()) {
     case util::CircuitBreaker::State::kOpen:
@@ -71,12 +83,19 @@ double ReplicaSelector::score_locked(const Replica& replica) const {
 
 std::size_t ReplicaSelector::select() {
   std::lock_guard<std::mutex> lock(mu_);
+  double prior = untried_prior_locked();
+  std::vector<double> scores(replicas_.size());
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    scores[i] = score_locked(*replicas_[i], prior);
+  }
   std::vector<std::size_t> order(replicas_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  // stable_sort keeps list order among equal scores: a healthy cluster
-  // always answers from the preferred (first) endpoint.
-  std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return score_locked(*replicas_[a]) < score_locked(*replicas_[b]);
+  // Equal scores go to a replica with a latency sample, so an untried one
+  // never outranks a working one; stable_sort keeps list order among the
+  // rest, so a healthy cluster answers from the preferred (first) endpoint.
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (scores[a] != scores[b]) return scores[a] < scores[b];
+    return replicas_[a]->has_latency && !replicas_[b]->has_latency;
   });
   for (std::size_t index : order) {
     // allow() also grants the single half-open probe after a breaker's
@@ -113,6 +132,7 @@ void ReplicaSelector::record_failure(std::size_t index, bool hard) {
 
 std::vector<ReplicaSelector::Health> ReplicaSelector::health() const {
   std::lock_guard<std::mutex> lock(mu_);
+  double prior = untried_prior_locked();
   std::vector<Health> out;
   out.reserve(replicas_.size());
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
@@ -126,7 +146,7 @@ std::vector<ReplicaSelector::Health> ReplicaSelector::health() const {
     entry.successes = replica.successes;
     entry.failures = replica.failures;
     entry.hard_failures = replica.hard_failures;
-    entry.score = score_locked(replica);
+    entry.score = score_locked(replica, prior);
     out.push_back(entry);
   }
   return out;

@@ -70,9 +70,10 @@ struct WizardClusterConfig {
 struct ReplicaSelectorConfig {
   /// Weight of the newest latency sample in the EWMA.
   double ewma_alpha = 0.3;
-  /// Prior for a replica with no latency sample yet. Nonzero so an untried
-  /// secondary does not look faster than a working primary, small enough
-  /// that the first failure on the primary promotes it.
+  /// Prior for a replica with no latency sample yet, small enough that the
+  /// first failure on the primary promotes an untried secondary. An untried
+  /// secondary never looks faster than a working primary: the prior is
+  /// raised to the EWMA of any replica whose last attempt succeeded.
   double untried_latency_us = 500.0;
   /// Added per consecutive failure.
   double failure_penalty_us = 10'000.0;
@@ -143,7 +144,8 @@ class ReplicaSelector {
     std::uint64_t hard_failures = 0;
   };
 
-  double score_locked(const Replica& replica) const;
+  double untried_prior_locked() const;
+  double score_locked(const Replica& replica, double untried_prior) const;
 
   ReplicaSelectorConfig config_;
   std::vector<net::Endpoint> endpoints_;

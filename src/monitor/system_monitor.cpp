@@ -2,7 +2,6 @@
 
 #include "util/counters.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace smartsock::monitor {
 namespace {
@@ -44,9 +43,7 @@ ipc::SysRecord to_sys_record(const probe::StatusReport& report, std::uint64_t no
 
 SystemMonitor::SystemMonitor(SystemMonitorConfig config, ipc::StatusStore& store)
     : config_(std::move(config)), store_(&store) {
-  if (config_.ingest_shards == 0) config_.ingest_shards = 1;
   net::UdpBindOptions bind_options;
-  bind_options.reuse_port = config_.ingest_shards > 1;
   bind_options.rcvbuf_bytes = config_.rcvbuf_bytes;
   bind_options.track_kernel_drops = true;
   if (auto sock = net::UdpSocket::bind(config_.bind, bind_options)) {
@@ -54,21 +51,6 @@ SystemMonitor::SystemMonitor(SystemMonitorConfig config, ipc::StatusStore& store
     socket_.set_traffic_counter(
         obs::MetricsRegistry::instance().traffic("system_monitor"));
     endpoint_ = socket_.local_endpoint();
-  }
-  // The rest of the reuseport group binds to the *resolved* endpoint, so an
-  // ephemeral shard-0 port is shared by every shard. A failed member bind
-  // degrades to fewer shards rather than failing the monitor.
-  for (std::size_t i = 1; socket_.valid() && i < config_.ingest_shards; ++i) {
-    auto member = net::UdpSocket::bind(endpoint_, bind_options);
-    if (!member) {
-      SMARTSOCK_LOG(kWarn, "system_monitor")
-          << "reuseport shard " << i << " failed to bind " << endpoint_.to_string()
-          << "; running with " << i << " ingest shard(s)";
-      break;
-    }
-    member->set_traffic_counter(
-        obs::MetricsRegistry::instance().traffic("system_monitor"));
-    extra_sockets_.push_back(std::move(*member));
   }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
@@ -83,16 +65,6 @@ SystemMonitor::SystemMonitor(SystemMonitorConfig config, ipc::StatusStore& store
   last_batch_received_gauge_ = registry.gauge("sysmon_last_batch_received");
   last_batch_ingested_gauge_ = registry.gauge("sysmon_last_batch_ingested");
   rcvbuf_dropped_counter_ = registry.counter("udp_rcvbuf_dropped_total");
-  shard_states_.resize(ingest_shards());
-  for (std::size_t i = 0; i < shard_states_.size(); ++i) {
-    std::string shard_label = "{shard=\"" + std::to_string(i) + "\"}";
-    shard_states_[i].datagrams = registry.counter("sysmon_shard_datagrams_total" + shard_label);
-    shard_states_[i].batches = registry.counter("sysmon_shard_batches_total" + shard_label);
-    // Daemon-qualified: the wizard publishes its own per-shard series under
-    // the same metric name.
-    shard_states_[i].rcvbuf_dropped = registry.counter(
-        "udp_rcvbuf_dropped_total{daemon=\"sysmon\",shard=\"" + std::to_string(i) + "\"}");
-  }
   // Per-server staleness: a gauge per sysdb record with the age of its last
   // report, so an operator sees a silent probe *before* the expiry sweep
   // drops the server. Unregistered in the destructor — the collector reads
@@ -143,15 +115,10 @@ bool SystemMonitor::admit_report(const std::string& address) {
 
   std::lock_guard<std::mutex> lock(flap_mu_);
 
-  // Prune hosts idle past the window so the map tracks only live reporters.
-  for (auto it = flap_states_.begin(); it != flap_states_.end();) {
-    const HostFlapState& state = it->second;
-    bool idle = state.last_seen_ns + window_ns < now &&
-                state.quarantined_until_ns < now && !state.expired;
-    it = idle ? flap_states_.erase(it) : std::next(it);
-  }
-
+  // A host idle past the window starts over, exactly as if the sweep had
+  // already pruned its entry; the sweep prunes the other idle hosts.
   HostFlapState& state = flap_states_[address];
+  if (state.idle(now, window_ns)) state = HostFlapState{};
   state.last_seen_ns = now;
 
   if (state.quarantined_until_ns > now) {
@@ -236,43 +203,34 @@ bool SystemMonitor::poll_once(util::Duration timeout) {
 std::size_t SystemMonitor::poll_batch(util::Duration timeout) {
   if (!socket_.valid()) return 0;
   socket_.set_receive_timeout(timeout);
-  return drain_shard(0);
+  return drain_batch();
 }
 
-std::size_t SystemMonitor::drain_shard(std::size_t shard) {
-  net::UdpSocket& sock = shard_socket(shard);
-  ShardState& state = shard_states_[shard];
+std::size_t SystemMonitor::drain_batch() {
   std::size_t cap = config_.max_batch > 0 ? config_.max_batch : 1;
   // One recvmmsg: the first datagram waits under SO_RCVTIMEO, the rest of
   // the batch is whatever the kernel already queued (MSG_WAITFORONE).
-  std::size_t received = sock.receive_batch(state.batch, cap, kMaxReportBytes);
+  std::size_t received = socket_.receive_batch(batch_, cap, kMaxReportBytes);
   if (received == 0) return 0;
   std::size_t ingested = 0;
   for (std::size_t i = 0; i < received; ++i) {
-    if (ingest_payload(state.batch[i].payload, state.batch[i].peer)) ++ingested;
+    if (ingest_payload(batch_[i].payload, batch_[i].peer)) ++ingested;
   }
   batches_counter_->inc();
-  state.batches->inc();
-  state.datagrams->inc(received);
   last_batch_received_gauge_->set(static_cast<double>(received));
   last_batch_ingested_gauge_->set(static_cast<double>(ingested));
   // Publish the kernel's receive-queue overflow count (SO_RXQ_OVFL) as a
-  // delta, per shard and combined — the health engine rates the combined
-  // counter to flag sustained overflow.
-  std::uint64_t drops = sock.kernel_drops();
-  if (drops > state.drops_published) {
-    std::uint64_t delta = drops - state.drops_published;
-    state.drops_published = drops;
-    state.rcvbuf_dropped->inc(delta);
-    rcvbuf_dropped_counter_->inc(delta);
+  // delta — the health engine rates the counter to flag sustained overflow.
+  std::uint64_t drops = socket_.kernel_drops();
+  if (drops > drops_published_) {
+    rcvbuf_dropped_counter_->inc(drops - drops_published_);
+    drops_published_ = drops;
   }
   return ingested;
 }
 
 std::uint64_t SystemMonitor::shard_kernel_drops(std::size_t shard) const {
-  if (shard >= ingest_shards()) return 0;
-  const net::UdpSocket& sock = shard == 0 ? socket_ : extra_sockets_[shard - 1];
-  return sock.kernel_drops();
+  return shard == 0 ? socket_.kernel_drops() : 0;
 }
 
 bool SystemMonitor::poll_tcp_once(util::Duration timeout) {
@@ -311,11 +269,18 @@ std::size_t SystemMonitor::sweep_stale() {
   std::uint64_t cutoff = now > static_cast<std::uint64_t>(max_age)
                              ? now - static_cast<std::uint64_t>(max_age)
                              : 0;
-  // Mark the hosts this sweep is about to drop, so their next report is
-  // recognized as a rejoin (one flap cycle) by admit_report().
-  if (config_.flap_threshold > 0 && cutoff > 0) {
-    std::vector<ipc::SysRecord> records = store_->sys_records();
+  if (config_.flap_threshold > 0) {
+    std::vector<ipc::SysRecord> records;
+    if (cutoff > 0) records = store_->sys_records();
+    auto window_ns = static_cast<std::uint64_t>(config_.flap_window.count());
     std::lock_guard<std::mutex> lock(flap_mu_);
+    // Prune hosts idle past the flap window so the map tracks only live
+    // reporters.
+    for (auto it = flap_states_.begin(); it != flap_states_.end();) {
+      it = it->second.idle(now, window_ns) ? flap_states_.erase(it) : std::next(it);
+    }
+    // Mark the hosts this sweep is about to drop, so their next report is
+    // recognized as a rejoin (one flap cycle) by admit_report().
     for (const ipc::SysRecord& record : records) {
       if (record.updated_ns < cutoff) {
         flap_states_[record.address].expired = true;
@@ -336,25 +301,12 @@ std::size_t SystemMonitor::sweep_stale() {
 bool SystemMonitor::start() {
   if (!socket_.valid() || thread_.joinable()) return false;
   stop_requested_.store(false, std::memory_order_release);
-  if (ingest_shards() > 1) {
-    // Shard group: one drain thread per reuseport socket, plus a
-    // housekeeping thread for the TCP side and the staleness sweep.
-    for (std::size_t i = 0; i < ingest_shards(); ++i) {
-      ingest_threads_.emplace_back([this, i] { ingest_loop(i); });
-    }
-    thread_ = std::thread([this] { housekeeping_loop(); });
-  } else {
-    thread_ = std::thread([this] { run_loop(); });
-  }
+  thread_ = std::thread([this] { run_loop(); });
   return true;
 }
 
 void SystemMonitor::stop() {
   stop_requested_.store(true, std::memory_order_release);
-  for (std::thread& t : ingest_threads_) {
-    if (t.joinable()) t.join();
-  }
-  ingest_threads_.clear();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -365,31 +317,6 @@ void SystemMonitor::run_loop() {
     poll_batch(std::chrono::milliseconds(40));
     if (tcp_listener_.valid()) {
       poll_tcp_once(std::chrono::milliseconds(5));
-    }
-    util::Duration now = util::SteadyClock::instance().now();
-    if (now - last_sweep >= sweep_every) {
-      sweep_stale();
-      last_sweep = now;
-    }
-  }
-}
-
-void SystemMonitor::ingest_loop(std::size_t shard) {
-  if (config_.pin_shards) util::pin_current_thread(shard);
-  shard_socket(shard).set_receive_timeout(std::chrono::milliseconds(40));
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    drain_shard(shard);
-  }
-}
-
-void SystemMonitor::housekeeping_loop() {
-  util::Duration sweep_every = config_.probe_interval;
-  util::Duration last_sweep = util::SteadyClock::instance().now();
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    if (tcp_listener_.valid()) {
-      poll_tcp_once(std::chrono::milliseconds(5));
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     util::Duration now = util::SteadyClock::instance().now();
     if (now - last_sweep >= sweep_every) {

@@ -30,27 +30,15 @@ struct SystemMonitorConfig {
   /// newline-terminated report per connection.
   bool accept_tcp = true;
 
-  /// Max probe reports ingested per loop wakeup (ISSUE 5): after the first
-  /// (blocking) datagram, the socket is drained non-blocking up to this many
-  /// reports, so a fleet-wide report burst costs one wakeup instead of one
-  /// per datagram. Bounded so the TCP side and the staleness sweep still run
-  /// under sustained load.
+  /// Max probe reports ingested per loop wakeup: one recvmmsg takes up to
+  /// this many queued reports, so a fleet-wide report burst costs one
+  /// wakeup instead of one per datagram. Bounded so the TCP side and the
+  /// staleness sweep still run under sustained load.
   std::size_t max_batch = 256;
 
-  /// Ingest shard group (ROADMAP item 2): the monitor binds this many
-  /// SO_REUSEPORT UDP sockets to the same port, each drained by its own
-  /// thread with recvmmsg batching, and the kernel spreads probes across
-  /// them by sender 4-tuple. 1 (the default) keeps today's single-socket,
-  /// single-thread path exactly.
-  std::size_t ingest_shards = 1;
-
-  /// Pin ingest shard i to CPU (i mod cores) — per-CPU ingest à la the
-  /// tcp_smp exemplar. Best-effort; ignored where affinity is unsupported.
-  bool pin_shards = true;
-
-  /// SO_RCVBUF for every ingest socket; 0 keeps the kernel default. Bursts
+  /// SO_RCVBUF for the ingest socket; 0 keeps the kernel default. Bursts
   /// beyond the buffer are kernel drops, surfaced (via SO_RXQ_OVFL) as
-  /// udp_rcvbuf_dropped_total per shard.
+  /// udp_rcvbuf_dropped_total.
   int rcvbuf_bytes = 0;
 
   /// Flap quarantine (ISSUE 3): a host that expires and rejoins
@@ -124,23 +112,15 @@ class SystemMonitor {
   bool is_quarantined(const std::string& address) const;
   bool valid() const { return socket_.valid(); }
 
-  /// Sockets actually bound into the reuseport group (≤ config.ingest_shards
-  /// when a group bind failed and the monitor degraded to fewer shards).
-  std::size_t ingest_shards() const { return 1 + extra_sockets_.size(); }
-
-  /// Kernel receive-queue drops observed on shard `shard` so far.
+  /// Kernel receive-queue drops observed on the ingest socket so far. The
+  /// monitor has one ingest socket, index 0; any other index reads 0.
   std::uint64_t shard_kernel_drops(std::size_t shard) const;
 
  private:
   void run_loop();
-  void housekeeping_loop();
-  void ingest_loop(std::size_t shard);
-  net::UdpSocket& shard_socket(std::size_t shard) {
-    return shard == 0 ? socket_ : extra_sockets_[shard - 1];
-  }
-  /// One blocking-then-drain batch on shard `shard` (SO_RCVTIMEO applies to
-  /// the wait for the first datagram). Returns reports ingested.
-  std::size_t drain_shard(std::size_t shard);
+  /// One recvmmsg batch (SO_RCVTIMEO bounds the wait for the first
+  /// datagram). Returns reports ingested.
+  std::size_t drain_batch();
   /// Flap accounting on ingest; false = drop the report (quarantined).
   bool admit_report(const std::string& address);
   /// Parse + admit + store one received report payload.
@@ -148,27 +128,32 @@ class SystemMonitor {
 
   SystemMonitorConfig config_;
   ipc::StatusStore* store_;
-  net::UdpSocket socket_;  // ingest shard 0
+  net::UdpSocket socket_;
   net::Endpoint endpoint_;
   net::TcpListener tcp_listener_;
   net::Endpoint tcp_endpoint_;
-  std::vector<net::UdpSocket> extra_sockets_;  // ingest shards 1..N-1
+  std::vector<net::Datagram> batch_;  // reused receive buffers
 
   // Per-host flap bookkeeping, keyed by server address. `expired` is set by
   // the sweep when the host drops out; the next admitted report turns it
-  // into one recorded flap. Entries idle past the flap window are pruned.
+  // into one recorded flap. Entries idle past the flap window are pruned by
+  // the staleness sweep.
   struct HostFlapState {
     bool expired = false;
     std::deque<std::uint64_t> flaps_ns;  // rejoin times inside the window
     std::uint64_t quarantined_until_ns = 0;
     int quarantine_count = 0;  // consecutive quarantines (backoff escalation)
     std::uint64_t last_seen_ns = 0;
+
+    /// Silent for a whole window with nothing pending: safe to forget.
+    bool idle(std::uint64_t now, std::uint64_t window_ns) const {
+      return last_seen_ns + window_ns < now && quarantined_until_ns < now && !expired;
+    }
   };
   mutable std::mutex flap_mu_;
   std::unordered_map<std::string, HostFlapState> flap_states_;
 
   std::thread thread_;
-  std::vector<std::thread> ingest_threads_;
   std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint64_t> reports_received_{0};
   std::atomic<std::uint64_t> reports_rejected_{0};
@@ -190,18 +175,9 @@ class SystemMonitor {
   // traffic no longer overcounts ingest.
   obs::Gauge* last_batch_received_gauge_ = nullptr;
   obs::Gauge* last_batch_ingested_gauge_ = nullptr;
-  obs::Counter* rcvbuf_dropped_counter_ = nullptr;  // all shards combined
+  obs::Counter* rcvbuf_dropped_counter_ = nullptr;
+  std::uint64_t drops_published_ = 0;
   std::uint64_t collector_id_ = 0;
-
-  // Per-shard ingest accounting (sysmon_shard_*{shard="i"}).
-  struct ShardState {
-    std::vector<net::Datagram> batch;  // reused receive buffers
-    obs::Counter* datagrams = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* rcvbuf_dropped = nullptr;
-    std::uint64_t drops_published = 0;
-  };
-  std::vector<ShardState> shard_states_;
 };
 
 }  // namespace smartsock::monitor

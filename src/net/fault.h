@@ -9,10 +9,10 @@
 // breaker, staleness degradation and quarantine logic in the layers above
 // are all exercised against these faults in tests/failure_test.cpp.
 //
-// Batched I/O (UdpSocket::receive_batch/send_batch) draws every decision
-// per-datagram in batch order, and on the send side before any syscall, so
-// the mmsg fast path and the single-syscall fallback consume the seeded RNG
-// identically — a chaos run reproduces regardless of which path ran.
+// Batched receive (UdpSocket::receive_batch) draws every decision
+// per-datagram in arrival order, so the recvmmsg fast path and the
+// single-syscall fallback consume the seeded RNG identically — a chaos run
+// reproduces regardless of which path ran.
 //
 // Installation, in precedence order:
 //   1. per-socket:  socket.set_fault_injector(&injector)  (tests)

@@ -607,39 +607,6 @@ Connection* Reactor::add_connection(TcpSocket socket, ConnectionHandler handler)
   return raw;
 }
 
-FdWatchId Reactor::add_fd_watch(int fd, std::function<void()> on_readable,
-                                std::string label) {
-  if (running() && !in_loop_thread()) {
-    FdWatchId id = 0;
-    run_on_loop([&] { id = add_fd_watch(fd, std::move(on_readable), std::move(label)); });
-    return id;
-  }
-  if (fd < 0 || !on_readable || watch_fds_.count(fd) > 0) return 0;
-  FdWatchId id = next_watch_id_++;
-  FdWatch watch;
-  watch.fd = fd;
-  watch.on_readable = std::move(on_readable);
-  watch.site = intern_site(label.empty() ? "fd_watch" : label);
-  fd_watches_[id] = std::move(watch);
-  watch_fds_[fd] = id;
-  update_interest(fd, {true, false});
-  return id;
-}
-
-bool Reactor::remove_fd_watch(FdWatchId id) {
-  if (running() && !in_loop_thread()) {
-    bool removed = false;
-    run_on_loop([&] { removed = remove_fd_watch(id); });
-    return removed;
-  }
-  auto it = fd_watches_.find(id);
-  if (it == fd_watches_.end()) return false;
-  forget_fd(it->second.fd);
-  watch_fds_.erase(it->second.fd);
-  fd_watches_.erase(it);
-  return true;
-}
-
 void Reactor::retire_connection(Connection* connection, bool clean) {
   int fd = connection->registered_fd_;
   // Only unhook the fd if the registry still maps it to us — the kernel may
@@ -680,22 +647,6 @@ void Reactor::reap_dead() { dead_connections_.clear(); }
 void Reactor::dispatch_fd(int fd, bool readable, bool writable, bool hangup) {
   if (fd == wake_read_fd_) {
     drain_wakeup();
-    return;
-  }
-  auto watch_it = watch_fds_.find(fd);
-  if (watch_it != watch_fds_.end()) {
-    // Raw-fd watch (UDP ingest shard). The handler is copied out because it
-    // may remove_fd_watch itself mid-callback; error-flagged readiness
-    // (hangup) is delivered too so the handler's receive can consume queued
-    // socket errors (async ICMP on UDP).
-    if (readable || hangup) {
-      auto live_it = fd_watches_.find(watch_it->second);
-      if (live_it != fd_watches_.end() && live_it->second.on_readable) {
-        auto handler = live_it->second.on_readable;
-        CallbackScope scope(this, live_it->second.site);
-        handler();
-      }
-    }
     return;
   }
   auto listener_it = listener_fds_.find(fd);

@@ -51,7 +51,6 @@ class Connection;
 
 using TimerId = std::uint64_t;
 using ListenerId = std::uint64_t;
-using FdWatchId = std::uint64_t;
 
 namespace detail {
 /// One named callback origin ("receiver_ingest", "posted", "timer", ...)
@@ -251,21 +250,6 @@ class Reactor {
   /// The returned pointer stays valid until after on_close returns.
   Connection* add_connection(TcpSocket socket, ConnectionHandler handler);
 
-  /// Watches a raw descriptor the caller keeps owning — the UDP ingest
-  /// shards (ROADMAP item 2) register their reuseport sockets here —
-  /// invoking `on_readable` on the loop thread whenever the fd is readable
-  /// (or error-flagged: UDP sockets surface async ICMP errors as EPOLLERR,
-  /// and the callback's next receive consumes them). The fd must already be
-  /// non-blocking and must outlive the watch; the callback should drain
-  /// until EAGAIN or a batch cap (readiness is level-triggered, so leftover
-  /// data re-fires the watch). `label` attributes callback wall time in
-  /// reactor_callback_us{site="<label>"}. Returns 0 on a bad fd or one
-  /// already watched. Thread-safe (forwards to the loop while running).
-  FdWatchId add_fd_watch(int fd, std::function<void()> on_readable,
-                         std::string label = "fd_watch");
-  /// Drops a watch; the fd stays open (caller-owned). True if it existed.
-  bool remove_fd_watch(FdWatchId id);
-
   /// Closes every connection this reactor owns (loop thread).
   void close_all_connections();
 
@@ -331,13 +315,6 @@ class Reactor {
   std::unordered_map<int, ListenerId> listener_fds_;
   std::unordered_map<ListenerId, std::function<void(TcpSocket)>> accept_handlers_;
   std::unordered_map<ListenerId, CallbackSite*> accept_sites_;
-  struct FdWatch {
-    int fd = -1;
-    std::function<void()> on_readable;
-    CallbackSite* site = nullptr;
-  };
-  std::unordered_map<FdWatchId, FdWatch> fd_watches_;
-  std::unordered_map<int, FdWatchId> watch_fds_;
   std::unordered_map<int, Connection*> connection_fds_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> connections_;
   std::unordered_map<int, FdInterest> interest_;  // poll-fallback mirror
@@ -350,7 +327,6 @@ class Reactor {
   std::uint64_t next_timer_id_ = 1;
   std::uint64_t next_listener_id_ = 1;
   std::uint64_t next_connection_id_ = 1;
-  std::uint64_t next_watch_id_ = 1;
 
   std::mutex post_mu_;
   std::deque<std::function<void()>> posted_;

@@ -105,16 +105,6 @@ bool Socket::set_reuse_address(bool on) {
   return ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &value, sizeof(value)) == 0;
 }
 
-bool Socket::set_reuse_port(bool on) {
-  if (fd_ < 0) return false;
-#ifdef SO_REUSEPORT
-  int value = on ? 1 : 0;
-  return ::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &value, sizeof(value)) == 0;
-#else
-  return !on;  // a group of one still works without the option
-#endif
-}
-
 bool Socket::set_receive_buffer(int bytes) {
   if (fd_ < 0 || bytes <= 0) return false;
   return ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes)) == 0;

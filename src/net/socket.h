@@ -50,12 +50,6 @@ class Socket {
   /// Sets SO_REUSEADDR (used by restartable daemons).
   bool set_reuse_address(bool on);
 
-  /// Sets SO_REUSEPORT so several sockets can bind the same address and the
-  /// kernel steers incoming traffic across them by 4-tuple hash — the basis
-  /// of the per-CPU ingest shard groups (ROADMAP item 2). Must be set before
-  /// bind() on every member of the group.
-  bool set_reuse_port(bool on);
-
   /// Sets SO_RCVBUF. The kernel doubles the requested value for bookkeeping;
   /// read the effective size back with receive_buffer_bytes().
   bool set_receive_buffer(int bytes);

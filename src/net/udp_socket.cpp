@@ -9,20 +9,6 @@
 #include "net/fault.h"
 
 namespace smartsock::net {
-namespace {
-
-// One decision record per outgoing datagram, drawn before any syscall so the
-// mmsg path and the loop fallback consume the fault RNG in the same order.
-struct SendPlan {
-  enum class Action { kSend, kDropSilently, kRefuse, kUnroutable };
-  Action action = Action::kSend;
-  bool duplicate = false;
-  const std::string* payload = nullptr;  // original or mutated storage
-  sockaddr_in addr{};
-};
-
-}  // namespace
-
 std::optional<UdpSocket> UdpSocket::create() {
   int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) return std::nullopt;
@@ -41,7 +27,6 @@ std::optional<UdpSocket> UdpSocket::bind(const Endpoint& endpoint,
   if (!sock) return std::nullopt;
   sockaddr_in addr{};
   if (!endpoint.to_sockaddr(addr)) return std::nullopt;
-  if (options.reuse_port && !sock->set_reuse_port(true)) return std::nullopt;
   if (options.rcvbuf_bytes > 0) sock->set_receive_buffer(options.rcvbuf_bytes);
   if (options.track_kernel_drops) {
 #ifdef SO_RXQ_OVFL
@@ -144,17 +129,6 @@ void UdpSocket::note_rxq_counter(std::uint32_t cumulative) {
 
 std::size_t UdpSocket::receive_batch(std::vector<Datagram>& batch, std::size_t max_batch,
                                      std::size_t max_size, IoResult* result_out) {
-  return receive_batch_impl(/*wait_for_first=*/true, batch, max_batch, max_size, result_out);
-}
-
-std::size_t UdpSocket::try_receive_batch(std::vector<Datagram>& batch, std::size_t max_batch,
-                                         std::size_t max_size, IoResult* result_out) {
-  return receive_batch_impl(/*wait_for_first=*/false, batch, max_batch, max_size, result_out);
-}
-
-std::size_t UdpSocket::receive_batch_impl(bool wait_for_first, std::vector<Datagram>& batch,
-                                          std::size_t max_batch, std::size_t max_size,
-                                          IoResult* result_out) {
   if (result_out) *result_out = IoResult{IoStatus::kTimeout, 0, EAGAIN};
   if (max_batch == 0 || fd_ < 0) {
     batch.clear();
@@ -193,8 +167,8 @@ std::size_t UdpSocket::receive_batch_impl(bool wait_for_first, std::vector<Datag
     // MSG_WAITFORONE blocks for the first datagram under SO_RCVTIMEO, then
     // flips to non-blocking for the rest of the batch — the exact semantics
     // of "wait for traffic, drain the burst" in one syscall.
-    int flags = wait_for_first ? MSG_WAITFORONE : MSG_DONTWAIT;
-    int n = ::recvmmsg(fd_, msgs.data(), static_cast<unsigned>(max_batch), flags, nullptr);
+    int n = ::recvmmsg(fd_, msgs.data(), static_cast<unsigned>(max_batch), MSG_WAITFORONE,
+                       nullptr);
     if (n < 0) {
       batch.clear();
       if (errno != EAGAIN && errno != EWOULDBLOCK && result_out) {
@@ -243,7 +217,7 @@ std::size_t UdpSocket::receive_batch_impl(bool wait_for_first, std::vector<Datag
   IoResult last{};
   bool got_first = false;
   while (received < max_batch) {
-    int flags = (!got_first && wait_for_first) ? 0 : MSG_DONTWAIT;
+    int flags = got_first ? MSG_DONTWAIT : 0;
     Datagram& slot = batch[received];
     slot.payload.resize(max_size);
     sockaddr_in addr{};
@@ -272,130 +246,6 @@ std::size_t UdpSocket::receive_batch_impl(bool wait_for_first, std::vector<Datag
     }
   }
   return received;
-}
-
-std::size_t UdpSocket::send_batch(const std::vector<Datagram>& batch, IoResult* result_out) {
-  if (result_out) *result_out = IoResult{IoStatus::kOk, 0, 0};
-  if (batch.empty()) return 0;
-  if (fd_ < 0) {
-    if (result_out) *result_out = IoResult{IoStatus::kError, 0, EBADF};
-    return 0;
-  }
-
-  // Plan phase: every fault decision is drawn here, per-datagram in batch
-  // order, before any syscall — so the mmsg path and the loop fallback see
-  // identical RNG streams and a chaos run reproduces on either.
-  FaultInjector* fault = active_fault_injector();
-  std::vector<SendPlan> plans(batch.size());
-  std::vector<std::string> mutated;  // stable storage for rewritten payloads
-  mutated.reserve(batch.size());
-  int first_error = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SendPlan& plan = plans[i];
-    plan.payload = &batch[i].payload;
-    if (!batch[i].peer.to_sockaddr(plan.addr)) {
-      plan.action = SendPlan::Action::kUnroutable;
-      if (first_error == 0) first_error = EINVAL;
-      continue;
-    }
-    if (fault != nullptr) {
-      if (fault->refuse_udp_send(batch[i].peer.to_string())) {
-        plan.action = SendPlan::Action::kRefuse;
-        if (first_error == 0) first_error = ECONNREFUSED;
-        continue;
-      }
-      if (fault->drop_udp_send()) {
-        plan.action = SendPlan::Action::kDropSilently;
-        continue;
-      }
-      fault->maybe_delay_udp();
-      std::string storage(batch[i].payload);
-      if (fault->mutate_udp(storage)) {
-        mutated.push_back(std::move(storage));
-        plan.payload = &mutated.back();
-      }
-      plan.duplicate = fault->duplicate_udp();
-    }
-  }
-
-  // Wire list: surviving datagrams, duplicates included.
-  std::vector<const SendPlan*> wire;
-  wire.reserve(plans.size());
-  std::size_t reported_sent = 0;
-  std::size_t reported_bytes = 0;
-  for (const SendPlan& plan : plans) {
-    if (plan.action == SendPlan::Action::kDropSilently) {
-      // Swallowed by the "network": counted as sent toward the caller.
-      ++reported_sent;
-      reported_bytes += plan.payload->size();
-      continue;
-    }
-    if (plan.action != SendPlan::Action::kSend) continue;
-    wire.push_back(&plan);
-    if (plan.duplicate) wire.push_back(&plan);
-  }
-
-  std::size_t wired = 0;  // entries handed to the kernel
-#if defined(__linux__) && defined(MSG_WAITFORONE)
-  if (!force_fallback_ && !wire.empty()) {
-    std::vector<mmsghdr> msgs(wire.size());
-    std::vector<iovec> iovs(wire.size());
-    for (std::size_t i = 0; i < wire.size(); ++i) {
-      iovs[i].iov_base = const_cast<char*>(wire[i]->payload->data());
-      iovs[i].iov_len = wire[i]->payload->size();
-      std::memset(&msgs[i], 0, sizeof(msgs[i]));
-      msgs[i].msg_hdr.msg_name = const_cast<sockaddr_in*>(&wire[i]->addr);
-      msgs[i].msg_hdr.msg_namelen = sizeof(wire[i]->addr);
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-    }
-    while (wired < wire.size()) {
-      int n = ::sendmmsg(fd_, msgs.data() + wired,
-                         static_cast<unsigned>(wire.size() - wired), 0);
-      if (n < 0) {
-        if (first_error == 0) first_error = errno;
-        break;
-      }
-      wired += static_cast<std::size_t>(n);
-    }
-  }
-#else
-  (void)0;
-#endif
-#if defined(__linux__) && defined(MSG_WAITFORONE)
-  if (force_fallback_)
-#endif
-  {
-    for (; wired < wire.size(); ++wired) {
-      const SendPlan* plan = wire[wired];
-      ssize_t n = ::sendto(fd_, plan->payload->data(), plan->payload->size(), 0,
-                           reinterpret_cast<const sockaddr*>(&plan->addr), sizeof(plan->addr));
-      if (n < 0) {
-        if (first_error == 0) first_error = errno;
-        break;
-      }
-    }
-  }
-
-  // Credit each *original* datagram whose wire entries all went out.
-  std::size_t consumed = 0;
-  for (const SendPlan& plan : plans) {
-    if (plan.action != SendPlan::Action::kSend) continue;
-    std::size_t needs = plan.duplicate ? 2 : 1;
-    if (consumed + needs > wired) break;
-    consumed += needs;
-    ++reported_sent;
-    reported_bytes += plan.payload->size();
-  }
-  if (counter_ && reported_bytes > 0) counter_->add_sent(reported_bytes);
-  if (result_out) {
-    if (first_error != 0) {
-      *result_out = IoResult{IoStatus::kError, reported_bytes, first_error};
-    } else {
-      *result_out = IoResult{IoStatus::kOk, reported_bytes, 0};
-    }
-  }
-  return reported_sent;
 }
 
 }  // namespace smartsock::net

@@ -4,11 +4,10 @@
 // (§3.2.1), wizard request/reply (§3.6.1) and the one-way bandwidth probes
 // (§3.3.2) — the thesis picks UDP precisely to keep probing overhead small.
 //
-// The batched interface (receive_batch/send_batch) moves whole bursts per
-// syscall via recvmmsg/sendmmsg on Linux, with a portable single-syscall
-// fallback, and is the substrate of the SO_REUSEPORT ingest shard groups
-// (ROADMAP item 2). Fault injection applies per-datagram inside a batch so
-// the chaos suites bite identically on the fast path.
+// receive_batch moves a whole burst per syscall via recvmmsg on Linux, with
+// a portable single-syscall fallback; the system monitor drains probe
+// reports through it. Fault injection applies per-datagram inside a batch
+// so the chaos suites bite identically on the fast path.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +26,6 @@ struct Datagram {
 
 /// Options applied between socket() and bind() for ingest sockets.
 struct UdpBindOptions {
-  /// Join (or found) an SO_REUSEPORT group: every socket bound with this
-  /// flag to the same address shares the port, and the kernel hashes each
-  /// sender's 4-tuple to pick the receiving socket. One sender socket
-  /// therefore always lands on the same shard.
-  bool reuse_port = false;
-
   /// SO_RCVBUF sizing; 0 keeps the kernel default. Bursts beyond the buffer
   /// are dropped by the kernel — visible via track_kernel_drops.
   int rcvbuf_bytes = 0;
@@ -54,8 +47,8 @@ class UdpSocket : public Socket {
   /// local_endpoint()).
   static std::optional<UdpSocket> bind(const Endpoint& endpoint);
 
-  /// Creates and binds with ingest options (reuseport group membership,
-  /// receive-buffer sizing, kernel drop accounting).
+  /// Creates and binds with ingest options (receive-buffer sizing, kernel
+  /// drop accounting).
   static std::optional<UdpSocket> bind(const Endpoint& endpoint,
                                        const UdpBindOptions& options);
 
@@ -79,8 +72,6 @@ class UdpSocket : public Socket {
   std::optional<Datagram> receive(util::Duration timeout, std::size_t max_size = 64 * 1024,
                                   IoResult* result_out = nullptr);
 
-  // --- batched I/O (ROADMAP item 2) ---------------------------------------
-
   /// Receives up to `max_batch` datagrams in one recvmmsg: blocks for the
   /// first datagram honoring SO_RCVTIMEO (MSG_WAITFORONE), then takes
   /// whatever else is already queued without waiting. `batch` is resized to
@@ -92,36 +83,18 @@ class UdpSocket : public Socket {
   std::size_t receive_batch(std::vector<Datagram>& batch, std::size_t max_batch,
                             std::size_t max_size = 2048, IoResult* result_out = nullptr);
 
-  /// As receive_batch but never blocks (pure drain): returns immediately
-  /// with 0/kTimeout when the socket buffer is empty. This is the reactor
-  /// readable-callback form.
-  std::size_t try_receive_batch(std::vector<Datagram>& batch, std::size_t max_batch,
-                                std::size_t max_size = 2048, IoResult* result_out = nullptr);
-
-  /// Sends every datagram in `batch` with one sendmmsg (looping on partial
-  /// progress). Returns the number reported sent. Fault decisions — refuse,
-  /// drop, delay, truncate/corrupt, duplicate — are drawn per-datagram in
-  /// batch order *before* any syscall, so the mmsg path and the fallback
-  /// path consume the injector's RNG identically and chaos runs reproduce
-  /// across both. A refused or unroutable datagram is skipped and reported
-  /// via `result_out` (first errno wins); the rest of the batch still goes.
-  std::size_t send_batch(const std::vector<Datagram>& batch, IoResult* result_out = nullptr);
-
   /// Total datagrams the kernel reports dropped on this socket's receive
   /// queue (SO_RXQ_OVFL), as of the newest datagram read by the batched
   /// path. Requires UdpBindOptions::track_kernel_drops.
   std::uint64_t kernel_drops() const { return kernel_drops_; }
 
   /// Forces the portable single-syscall fallback even on Linux (tests prove
-  /// behavior parity between recvmmsg/sendmmsg and the loop fallback).
+  /// behavior parity between recvmmsg and the loop fallback).
   void set_force_syscall_fallback(bool on) { force_fallback_ = on; }
 
  private:
   IoResult receive_impl(int flags, std::string& payload, Endpoint& peer,
                         std::size_t max_size);
-  std::size_t receive_batch_impl(bool wait_for_first, std::vector<Datagram>& batch,
-                                 std::size_t max_batch, std::size_t max_size,
-                                 IoResult* result_out);
   void note_rxq_counter(std::uint32_t cumulative);
 
   bool force_fallback_ = false;

@@ -143,11 +143,11 @@ void HealthEngine::install_default_checks() {
   });
 
   add_check("ingest", "rcvbuf-overflow", [this](const Snapshot& snap) -> Finding {
-    // Kernel-level UDP loss (ISSUE 10): the ingest shards publish the
+    // Kernel-level UDP loss: the monitor publishes its ingest socket's
     // SO_RXQ_OVFL drop counter as udp_rcvbuf_dropped_total. Any growth
     // between checks means the receive queue is currently overflowing —
-    // reports/requests are being lost before user space ever sees them.
-    // Remedy: a bigger --rcvbuf or more ingest shards.
+    // reports are being lost before user space ever sees them. Remedy: a
+    // bigger --rcvbuf.
     if (find_counter(snap, "udp_rcvbuf_dropped_total") == nullptr) {
       return Finding{HealthLevel::kOk, "", false};
     }
@@ -156,7 +156,7 @@ void HealthEngine::install_default_checks() {
       return Finding{HealthLevel::kDegraded,
                      std::to_string(delta) +
                          " datagram(s) dropped on ingest receive queues since last "
-                         "check (SO_RCVBUF overflow — raise --rcvbuf or add shards)"};
+                         "check (SO_RCVBUF overflow — raise --rcvbuf)"};
     }
     return Finding{};
   });

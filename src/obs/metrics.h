@@ -130,8 +130,7 @@ class MetricsRegistry {
 
   /// Traffic accounting for one socket owner. Unlike the metrics above,
   /// every call creates a fresh counter — many probes register as
-  /// "system_probe" and their traffic is summed at snapshot time (the
-  /// util::TrafficRegistry contract, migrated here).
+  /// "system_probe" and their traffic is summed at snapshot time.
   util::TrafficCounter* traffic(const std::string& component);
 
   /// Dynamic metrics: a collector runs at snapshot time and may append

@@ -60,33 +60,6 @@ struct ComponentUsage {
   double receive_rate_kbps = 0.0;  // KB per second over the sampled window
 };
 
-/// Named registry of counters; components register themselves by name.
-/// Multiple components may share a name (e.g. 11 probes register as
-/// "system_probe"); their traffic is summed on read.
-class TrafficRegistry {
- public:
-  static TrafficRegistry& instance();
-
-  /// Returns a counter bound to `component`. The registry owns the counter;
-  /// the pointer stays valid for the process lifetime.
-  TrafficCounter* register_component(const std::string& component);
-
-  /// Snapshot of all components, with rates computed over `window` seconds.
-  std::vector<ComponentUsage> snapshot(double window_seconds) const;
-
-  /// Zeroes every counter (used between bench phases).
-  void reset_all();
-
- private:
-  struct Entry {
-    std::string component;
-    std::unique_ptr<TrafficCounter> counter;
-  };
-
-  mutable std::mutex mu_;
-  std::vector<Entry> entries_;
-};
-
 /// Lock-free latency histogram for per-query accounting (wizard fast path).
 ///
 /// Samples land in geometric buckets spanning 1 µs .. ~10 s at ~6.5%

@@ -2,27 +2,7 @@
 
 #include <algorithm>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-#endif
-
 namespace smartsock::util {
-
-bool pin_current_thread(std::size_t cpu) {
-#ifdef __linux__
-  long cpus = ::sysconf(_SC_NPROCESSORS_ONLN);
-  if (cpus <= 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % static_cast<std::size_t>(cpus)), &set);
-  return ::pthread_setaffinity_np(::pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;

@@ -50,9 +50,4 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Pins the calling thread to one CPU (modulo the machine's CPU count, so a
-/// shard index works directly). Best-effort: false when the platform has no
-/// affinity API or the call is rejected; callers proceed unpinned.
-bool pin_current_thread(std::size_t cpu);
-
 }  // namespace smartsock::util

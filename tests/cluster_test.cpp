@@ -98,6 +98,22 @@ TEST(ReplicaSelector, HealthyClusterSticksToFirstReplica) {
   EXPECT_EQ(selector.select(), 0u);
 }
 
+// A loaded primary can measure far above the untried prior; its success
+// must still outrank replicas that were never tried, or a failover to a
+// lagging secondary happens without the primary failing at all.
+TEST(ReplicaSelector, SlowWorkingReplicaOutranksUntriedOnes) {
+  sim::VirtualClock clock;
+  core::ReplicaSelector selector(endpoints(3), {}, clock);
+  selector.record_success(0, 2000.0);
+  EXPECT_EQ(selector.select(), 0u);
+  // Same when the working replica is not first in the list: replica 0
+  // failed, replica 1 answered slowly, replica 2 is untried.
+  core::ReplicaSelector demoted(endpoints(3), {}, clock);
+  demoted.record_failure(0, /*hard=*/false);
+  demoted.record_success(1, 2000.0);
+  EXPECT_EQ(demoted.select(), 1u);
+}
+
 TEST(ReplicaSelector, FailureDemotesAndSuccessRestores) {
   sim::VirtualClock clock;
   core::ReplicaSelector selector(endpoints(3), {}, clock);

@@ -123,6 +123,14 @@ struct EvalCase {
   bool expect_qualified;
 };
 
+// Without this, gtest prints the case as raw bytes, which include the address of
+// `source` and the padding after `expect_qualified`; CTest would then give the
+// cases a different name on every test discovery.
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << '{' << testing::PrintToString(c.source) << ", " << c.cpu_free << ", "
+      << (c.expect_qualified ? "true" : "false") << '}';
+}
+
 class EvalSweep : public testing::TestWithParam<EvalCase> {};
 
 TEST_P(EvalSweep, MatchesReference) {

@@ -150,24 +150,6 @@ TEST(TrafficCounter, Accumulates) {
   EXPECT_EQ(counter.bytes_sent(), 0u);
 }
 
-TEST(TrafficRegistry, MergesSameName) {
-  auto& registry = TrafficRegistry::instance();
-  TrafficCounter* a = registry.register_component("util_test_component");
-  TrafficCounter* b = registry.register_component("util_test_component");
-  a->add_sent(10);
-  b->add_sent(20);
-  auto snapshot = registry.snapshot(1.0);
-  bool found = false;
-  for (const auto& usage : snapshot) {
-    if (usage.component == "util_test_component") {
-      found = true;
-      EXPECT_EQ(usage.bytes_sent, 30u);
-      EXPECT_DOUBLE_EQ(usage.send_rate_kbps, 30.0 / 1024.0);
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(CurrentRss, ReportsSomething) {
   // /proc is available on the build machine.
   EXPECT_GT(current_rss_kb(), 0u);

@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "ipc/in_memory_store.h"
-#include "ipc/sharded_store.h"
 #include "ipc/sysv_store.h"
 #include "monitor/network_monitor.h"
 #include "monitor/security_monitor.h"
@@ -37,7 +36,7 @@ int main(int argc, char** argv) {
   util::Args args(argc, argv,
                   {"listen", "receiver", "security-log", "target", "interval", "mode",
                    "local-group", "sysv", "no-delta", "stats-port", "stats-dump",
-                   "stats-dump-interval", "ingest-shards", "rcvbuf", "no-pin", "help"});
+                   "stats-dump-interval", "rcvbuf", "help"});
   if (!args.ok() || args.has("help")) {
     std::fprintf(stderr,
                  "usage: smartsock_monitor --listen ip:port [--receiver ip:port] "
@@ -45,14 +44,11 @@ int main(int argc, char** argv) {
                  "[--target group=ip:port]... [--local-group name] "
                  "[--interval seconds] [--sysv] [--no-delta] [--stats-port port] "
                  "[--stats-dump file] [--stats-dump-interval seconds] "
-                 "[--ingest-shards n] [--rcvbuf bytes] [--no-pin]\n");
+                 "[--rcvbuf bytes]\n");
     return args.has("help") ? 0 : 2;
   }
 
   obs::Blackbox::install("smartsock_monitor");
-
-  auto ingest_shards = static_cast<std::size_t>(
-      std::clamp<std::int64_t>(args.get_int_or("ingest-shards", 1), 1, 64));
 
   // --- store ---------------------------------------------------------------
   std::unique_ptr<ipc::StatusStore> store;
@@ -61,19 +57,8 @@ int main(int argc, char** argv) {
     if (!store) {
       std::fprintf(stderr, "SysV IPC unavailable; falling back to in-memory store\n");
     }
-    if (store && ingest_shards > 1) {
-      std::fprintf(stderr,
-                   "note: --sysv store is unpartitioned; ingest shards share it\n");
-    }
   }
-  if (!store) {
-    // One store partition per ingest shard: shard threads upsert without
-    // sharing a mutex, readers get the epoch-consistent merged view.
-    store = ingest_shards > 1
-                ? std::unique_ptr<ipc::StatusStore>(
-                      std::make_unique<ipc::ShardedStatusStore>(ingest_shards))
-                : std::make_unique<ipc::InMemoryStatusStore>();
-  }
+  if (!store) store = std::make_unique<ipc::InMemoryStatusStore>();
 
   double interval_s = args.get_double_or("interval", 2.0);
 
@@ -86,19 +71,14 @@ int main(int argc, char** argv) {
   }
   sys_config.bind = *listen;
   sys_config.probe_interval = util::from_seconds(interval_s);
-  sys_config.ingest_shards = ingest_shards;
   sys_config.rcvbuf_bytes = static_cast<int>(
       std::clamp<std::int64_t>(args.get_int_or("rcvbuf", 0), 0, 1 << 30));
-  sys_config.pin_shards = !args.has("no-pin");
   monitor::SystemMonitor system_monitor(sys_config, *store);
   if (!system_monitor.valid() || !system_monitor.start()) {
     std::fprintf(stderr, "cannot bind system monitor to %s\n", listen->to_string().c_str());
     return 1;
   }
-  std::printf("system monitor on %s (%zu ingest shard%s)\n",
-              system_monitor.endpoint().to_string().c_str(),
-              system_monitor.ingest_shards(),
-              system_monitor.ingest_shards() == 1 ? "" : "s");
+  std::printf("system monitor on %s\n", system_monitor.endpoint().to_string().c_str());
 
   // --- security monitor -------------------------------------------------------
   monitor::SecurityMonitorConfig sec_config;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                   {"listen", "receiver", "mode", "transmitter", "local-group", "sysv",
                    "no-delta", "threads", "match-threads", "cache-size",
                    "staleness-bound-ms", "stats-port", "stats-dump",
-                   "stats-dump-interval", "ingest-shards", "rcvbuf", "no-pin", "help"});
+                   "stats-dump-interval", "rcvbuf", "help"});
   if (!args.ok() || args.has("help")) {
     std::fprintf(stderr,
                  "usage: smartsock_wizard --listen ip:port [--receiver ip:port] "
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                  "[--match-threads n] "
                  "[--cache-size n] [--staleness-bound-ms n] [--stats-port port] "
                  "[--stats-dump file] [--stats-dump-interval seconds] "
-                 "[--ingest-shards n] [--rcvbuf bytes] [--no-pin]\n");
+                 "[--rcvbuf bytes]\n");
     return args.has("help") ? 0 : 2;
   }
 
@@ -84,11 +84,8 @@ int main(int argc, char** argv) {
   wizard_config.local_group = args.get_or("local-group", "local");
   wizard_config.handler_threads =
       static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int_or("threads", 1)));
-  wizard_config.ingest_shards = static_cast<std::size_t>(
-      std::clamp<std::int64_t>(args.get_int_or("ingest-shards", 1), 1, 64));
   wizard_config.rcvbuf_bytes = static_cast<int>(
       std::clamp<std::int64_t>(args.get_int_or("rcvbuf", 0), 0, 1 << 30));
-  wizard_config.pin_shards = !args.has("no-pin");
   wizard_config.match_threads =
       static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int_or("match-threads", 1)));
   wizard_config.cache_size =
@@ -121,9 +118,8 @@ int main(int argc, char** argv) {
     }
   }
   wizard.start();
-  std::printf("wizard serving on %s (%s mode, %zu ingest shard%s)\n",
-              wizard.endpoint().to_string().c_str(), mode.c_str(),
-              wizard.ingest_shards(), wizard.ingest_shards() == 1 ? "" : "s");
+  std::printf("wizard serving on %s (%s mode)\n", wizard.endpoint().to_string().c_str(),
+              mode.c_str());
 
   // Declared before `stats` so the server (whose config points at them)
   // destructs first.
