@@ -1,9 +1,9 @@
 // Server matcher — the wizard's selection core (§3.6.1 step 3, Fig 1.4).
 //
-// For every sysdb record the matcher assembles the full attribute set
+// For every sysdb record the matcher fills a flat attribute row on the stack
 // (system status + security level from secdb + network metrics from netdb
-// keyed by the server's group), evaluates the compiled requirement, and
-// builds the candidate list:
+// keyed by the server's group), evaluates the compiled requirement over it,
+// and builds the candidate list:
 //   * denied hosts (by name or address) are never selected;
 //   * preferred hosts that qualify are taken first (the thesis: "trusted
 //     servers will always be selected first when available");
@@ -58,7 +58,8 @@ struct MatchResult {
   std::vector<std::string> diagnostics;  // per-server evaluation errors
 };
 
-/// Attribute set for one sysdb record (server-side variables only).
+/// Attribute set for one sysdb record (server-side variables only), from
+/// the same field table the matcher fills its rows with.
 lang::AttributeSet sys_record_attributes(const ipc::SysRecord& record);
 
 class ServerMatcher {

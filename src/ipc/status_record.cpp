@@ -11,9 +11,7 @@ void copy_fixed(char* dst, std::size_t capacity, const std::string& src) {
 }
 
 std::string read_fixed(const char* src, std::size_t capacity) {
-  std::size_t len = 0;
-  while (len < capacity && src[len] != '\0') ++len;
-  return std::string(src, len);
+  return std::string(view_fixed(src, capacity));
 }
 
 }  // namespace smartsock::ipc

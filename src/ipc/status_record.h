@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 namespace smartsock::ipc {
@@ -26,6 +27,12 @@ void copy_fixed(char* dst, std::size_t capacity, const std::string& src);
 
 /// Reads a fixed char array back into a string.
 std::string read_fixed(const char* src, std::size_t capacity);
+
+/// Views a fixed char array up to its NUL (or its capacity) without copying.
+inline std::string_view view_fixed(const char* src, std::size_t capacity) {
+  const void* nul = std::memchr(src, '\0', capacity);
+  return {src, nul ? static_cast<std::size_t>(static_cast<const char*>(nul) - src) : capacity};
+}
 
 /// One server's system status (sysdb entry).
 struct SysRecord {
@@ -45,6 +52,10 @@ struct SysRecord {
   std::string host_str() const { return read_fixed(host, kHostNameLen); }
   std::string address_str() const { return read_fixed(address, kAddressLen); }
   std::string group_str() const { return read_fixed(group, kGroupLen); }
+
+  std::string_view host_view() const { return view_fixed(host, kHostNameLen); }
+  std::string_view address_view() const { return view_fixed(address, kAddressLen); }
+  std::string_view group_view() const { return view_fixed(group, kGroupLen); }
 };
 
 /// One network path's metrics (netdb entry): local group -> remote group.
@@ -57,6 +68,9 @@ struct NetRecord {
 
   std::string from_str() const { return read_fixed(from_group, kGroupLen); }
   std::string to_str() const { return read_fixed(to_group, kGroupLen); }
+
+  std::string_view from_view() const { return view_fixed(from_group, kGroupLen); }
+  std::string_view to_view() const { return view_fixed(to_group, kGroupLen); }
 };
 
 /// One server's security clearance (secdb entry).
@@ -67,6 +81,7 @@ struct SecRecord {
   std::uint64_t updated_ns = 0;
 
   std::string host_str() const { return read_fixed(host, kHostNameLen); }
+  std::string_view host_view() const { return view_fixed(host, kHostNameLen); }
 };
 
 static_assert(std::is_trivially_copyable_v<SysRecord>);

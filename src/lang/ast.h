@@ -8,6 +8,7 @@
 // explicitly transparent ("this op will not change logic value").
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +30,18 @@ enum class BinaryOp : std::uint8_t {
   kAnd, kOr, kEq, kNe, kLt, kLe, kGt, kGe,  // logical
 };
 
+/// What an identifier — a kVar read or a kAssign target — refers to. Fixed
+/// once per program by resolve_symbols() (lang/symtab.h), so evaluation never
+/// classifies a name.
+enum class Binding : std::uint8_t {
+  kName,       // temp (slot = temp index, -1 if never assigned), else an
+               // extension attribute looked up by name, else undefined
+  kAttribute,  // predefined server/monitor variable: slot in AttributeRow
+  kUserSlot,   // user_preferred_host1..5 / user_denied_host1..5: slot 0..9
+  kConstant,   // PI, E, ...: the value is in `number`
+  kBuiltin,    // a math function's name used without parentheses
+};
+
 /// True for the operators the thesis classifies as logical (Fig 4.2 sets
 /// logic = 1 for these).
 bool is_logical_op(BinaryOp op);
@@ -38,10 +51,13 @@ std::string_view binary_op_name(BinaryOp op);
 
 struct Expr {
   ExprKind kind;
-  // kNumber
+  // kNumber, and a kVar bound to a constant
   double number = 0.0;
   // kNetAddr / kVar / kAssign (target) / kCall (function name)
   std::string name;
+  // kVar / kAssign
+  Binding binding = Binding::kName;
+  int slot = -1;
   // kBinary
   BinaryOp op = BinaryOp::kAdd;
   // children: kBinary uses [0]=lhs,[1]=rhs; kAssign/kUnaryMinus/kCall use [0]
@@ -71,6 +87,11 @@ struct Statement {
 
 struct Program {
   std::vector<Statement> statements;
+
+  // Filled by resolve_symbols():
+  std::uint32_t attribute_slots = 0;  // bit i set when slot i is read
+  std::size_t temp_count = 0;         // distinct temp names assigned
+  int rank_temp = -1;                 // temp index of `rank_by`, -1 if never assigned
 
   bool empty() const { return statements.empty(); }
 };

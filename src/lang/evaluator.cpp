@@ -1,5 +1,6 @@
 #include "lang/evaluator.h"
 
+#include <bit>
 #include <cmath>
 
 #include "lang/builtins.h"
@@ -39,36 +40,60 @@ std::vector<std::string> EvalOutcome::errors() const {
 }
 
 EvalOutcome Evaluator::evaluate(const Program& program, const AttributeSet& attrs) {
-  attrs_ = &attrs;
-  temps_.clear();
-  params_ = UserParams();
+  AttributeRow row;
+  for (std::uint32_t bits = program.attribute_slots; bits != 0; bits &= bits - 1) {
+    auto slot = static_cast<std::size_t>(std::countr_zero(bits));
+    auto it = attrs.find(attribute_names()[slot]);
+    if (it != attrs.end()) row.set(slot, it->second);
+  }
 
   EvalOutcome outcome;
+  Verdict verdict = run(program, row, &attrs, &outcome, nullptr);
+  outcome.qualified = verdict.qualified;
+  outcome.rank = verdict.rank;
+  for (std::size_t slot = 0; slot < user_slots_.size(); ++slot) {
+    if (!user_slots_[slot].empty()) {
+      outcome.params.set_slot(user_variable_names()[slot], std::string(user_slots_[slot]));
+    }
+  }
+  return outcome;
+}
+
+Verdict Evaluator::judge(const Program& program, const AttributeRow& row,
+                         std::vector<std::string>* errors) {
+  return run(program, row, nullptr, nullptr, errors);
+}
+
+Verdict Evaluator::run(const Program& program, const AttributeRow& row,
+                       const AttributeSet* extensions, EvalOutcome* outcome,
+                       std::vector<std::string>* errors) {
+  row_ = &row;
+  extensions_ = extensions;
+  temps_.assign(program.temp_count, std::nullopt);
+  user_slots_.fill({});
+
+  Verdict verdict;
   for (const Statement& statement : program.statements) {
     errored_ = false;
     error_.clear();
 
     Value value = eval_expr(*statement.expr);
 
-    StatementResult result;
-    result.line = statement.line;
-    result.value = value.number;
-    result.logical = value.logical;
-    result.errored = errored_;
-    result.error = error_;
-    outcome.statements.push_back(result);
-
+    if (outcome) {
+      outcome->statements.push_back(
+          StatementResult{statement.line, value.number, value.logical, errored_, error_});
+    }
     if (errored_) {
       // Conservative: a statement the wizard cannot evaluate must not let a
       // server through.
-      outcome.qualified = false;
+      verdict.qualified = false;
+      if (errors) errors->push_back("line " + std::to_string(statement.line) + ": " + error_);
     } else if (value.logical && value.number == 0.0) {
-      outcome.qualified = false;  // server_ok *= $2
+      verdict.qualified = false;  // server_ok *= $2
     }
   }
-  outcome.params = params_;
-  outcome.rank = temps_.lookup("rank_by");
-  return outcome;
+  if (program.rank_temp >= 0) verdict.rank = temps_[static_cast<std::size_t>(program.rank_temp)];
+  return verdict;
 }
 
 void Evaluator::raise(const Expr& at, const std::string& message) {
@@ -115,29 +140,39 @@ Evaluator::Value Evaluator::eval_expr(const Expr& expr) {
 
 Evaluator::Value Evaluator::eval_var(const Expr& expr) {
   const std::string& name = expr.name;
-  switch (classify_symbol(name, *attrs_, temps_)) {
-    case SymbolClass::kServerVar: {
-      auto it = attrs_->find(name);
-      if (it == attrs_->end()) {
+  switch (expr.binding) {
+    case Binding::kAttribute: {
+      auto slot = static_cast<std::size_t>(expr.slot);
+      if (!row_->has(slot)) {
         raise(expr, "server variable '" + name + "' has no value in this report");
         return Value::numeric(0.0);
       }
-      return Value::numeric(it->second);
+      return Value::numeric(row_->values[slot]);
     }
-    case SymbolClass::kUserParam:
+    case Binding::kUserSlot:
       // Reading back a host slot yields truthy 1 if it was set this
       // evaluation, mirroring hoc's UPARAM -> u.val access.
       return Value::numeric(1.0);
-    case SymbolClass::kConstant:
-      return Value::numeric(*constant_value(name));
-    case SymbolClass::kTemp:
-      return Value::numeric(*temps_.lookup(name));
-    case SymbolClass::kBuiltin:
+    case Binding::kConstant:
+      return Value::numeric(expr.number);
+    case Binding::kBuiltin:
       raise(expr, "'" + name + "' is a function; call it with parentheses");
       return Value::numeric(0.0);
-    case SymbolClass::kUndefined:
+    case Binding::kName: {
+      if (expr.slot >= 0) {
+        const std::optional<double>& temp = temps_[static_cast<std::size_t>(expr.slot)];
+        if (temp) return Value::numeric(*temp);
+      }
+      // A name present in the attribute set but not predefined still
+      // resolves — the thesis calls adding new parameters "a standard
+      // procedure" (Ch. 7).
+      if (extensions_) {
+        auto it = extensions_->find(name);
+        if (it != extensions_->end()) return Value::numeric(it->second);
+      }
       raise(expr, "undefined variable '" + name + "'");
       return Value::numeric(0.0);
+    }
   }
   raise(expr, "internal: unknown symbol class");
   return Value::numeric(0.0);
@@ -147,36 +182,36 @@ Evaluator::Value Evaluator::eval_assign(const Expr& expr) {
   const std::string& target = expr.name;
   const Expr& rhs = *expr.children[0];
 
-  if (is_user_variable(target)) {
-    // Host slots capture names syntactically: a bare identifier or NETADDR on
-    // the right-hand side is the host, not a value to evaluate.
-    std::string host;
-    if (rhs.kind == ExprKind::kNetAddr || rhs.kind == ExprKind::kVar) {
-      host = rhs.name;
-    } else {
-      Value value = eval_expr(rhs);
-      if (errored_) return Value::numeric(0.0);
-      host = value.is_host ? value.host : std::string();
-      if (host.empty()) {
-        raise(expr, "'" + target + "' must be assigned a host name or address");
-        return Value::numeric(0.0);
+  switch (expr.binding) {
+    case Binding::kUserSlot: {
+      // Host slots capture names syntactically: a bare identifier or NETADDR
+      // on the right-hand side is the host, not a value to evaluate.
+      std::string_view host;
+      if (rhs.kind == ExprKind::kNetAddr || rhs.kind == ExprKind::kVar) {
+        host = rhs.name;
+      } else {
+        Value value = eval_expr(rhs);
+        if (errored_) return Value::numeric(0.0);
+        if (value.is_host) host = value.host;
+        if (host.empty()) {
+          raise(expr, "'" + target + "' must be assigned a host name or address");
+          return Value::numeric(0.0);
+        }
       }
+      user_slots_[static_cast<std::size_t>(expr.slot)] = host;
+      return Value::numeric(1.0);  // truthy so it composes with '&&'
     }
-    params_.set_slot(target, host);
-    return Value::numeric(1.0);  // truthy so it composes with '&&'
-  }
-
-  if (is_server_variable(target) || is_monitor_variable(target)) {
-    raise(expr, "cannot assign to server-side variable '" + target + "'");
-    return Value::numeric(0.0);
-  }
-  if (constant_value(target)) {
-    raise(expr, "cannot assign to constant '" + target + "'");
-    return Value::numeric(0.0);
-  }
-  if (is_builtin(target)) {
-    raise(expr, "cannot assign to built-in function '" + target + "'");
-    return Value::numeric(0.0);
+    case Binding::kAttribute:
+      raise(expr, "cannot assign to server-side variable '" + target + "'");
+      return Value::numeric(0.0);
+    case Binding::kConstant:
+      raise(expr, "cannot assign to constant '" + target + "'");
+      return Value::numeric(0.0);
+    case Binding::kBuiltin:
+      raise(expr, "cannot assign to built-in function '" + target + "'");
+      return Value::numeric(0.0);
+    case Binding::kName:
+      break;
   }
 
   Value value = eval_expr(rhs);
@@ -185,7 +220,7 @@ Evaluator::Value Evaluator::eval_assign(const Expr& expr) {
     raise(expr, "cannot store a host address in temp variable '" + target + "'");
     return Value::numeric(0.0);
   }
-  temps_.assign(target, value.number);
+  temps_[static_cast<std::size_t>(expr.slot)] = value.number;
   // Assignment propagates the value but clears the logic flag (yacc: asgn
   // sets logic = 0).
   return Value::numeric(value.number);

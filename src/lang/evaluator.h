@@ -16,11 +16,19 @@
 //    "telesto" (store_uparams in the thesis). The assignment's value is 1 so
 //    it can appear inside '&&' chains (Tables 5.5/5.6 do exactly this).
 //  * Division by zero and math domain errors are statement errors.
+//
+// Identifiers arrive bound (lang/symtab.h resolve_symbols): a server-side
+// variable reads its slot of an AttributeRow, a temp its slot of a per-call
+// array. evaluate() over an AttributeSet and judge() over a row share one
+// core; the first copies the slots the program reads out of the set and
+// keeps the set for extension names.
 #pragma once
 
+#include <array>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/ast.h"
@@ -67,22 +75,40 @@ struct EvalOutcome {
   std::vector<std::string> errors() const;
 };
 
+/// A server's qualification without per-statement detail.
+struct Verdict {
+  bool qualified = true;
+  std::optional<double> rank;  // see EvalOutcome::rank
+};
+
 class Evaluator {
  public:
   /// Evaluates `program` against one server's attributes. Temp variables are
   /// fresh per call; user params are harvested into the outcome.
   EvalOutcome evaluate(const Program& program, const AttributeSet& attrs);
 
+  /// Evaluates `program` against one server's predefined variables (no
+  /// extension attributes) for the verdict only. Each errored statement
+  /// appends "line N: message" (as EvalOutcome::errors()) to `errors` when
+  /// it is not null. Scratch space is kept across calls, so an evaluation
+  /// without errors allocates nothing once this evaluator has run the
+  /// program.
+  Verdict judge(const Program& program, const AttributeRow& row,
+                std::vector<std::string>* errors);
+
  private:
   struct Value {
     double number = 0.0;
-    std::string host;  // non-empty when the value is a host/net address
+    std::string_view host;  // a NETADDR's text, in the program's tree
     bool is_host = false;
     bool logical = false;  // the thesis's `logic` flag for this subtree
 
     static Value numeric(double v, bool logic = false) { return {v, {}, false, logic}; }
-    static Value address(std::string h) { return {1.0, std::move(h), true, false}; }
+    static Value address(std::string_view h) { return {1.0, h, true, false}; }
   };
+
+  Verdict run(const Program& program, const AttributeRow& row, const AttributeSet* extensions,
+              EvalOutcome* outcome, std::vector<std::string>* errors);
 
   Value eval_expr(const Expr& expr);
   Value eval_binary(const Expr& expr);
@@ -91,9 +117,10 @@ class Evaluator {
 
   void raise(const Expr& at, const std::string& message);
 
-  const AttributeSet* attrs_ = nullptr;
-  TempScope temps_;
-  UserParams params_;
+  const AttributeRow* row_ = nullptr;
+  const AttributeSet* extensions_ = nullptr;  // null: no extension names
+  std::vector<std::optional<double>> temps_;  // by temp slot
+  std::array<std::string_view, 10> user_slots_;  // by user slot
   bool errored_ = false;
   std::string error_;
 };

@@ -1,6 +1,7 @@
 #include "lang/parser.h"
 
 #include "lang/lexer.h"
+#include "lang/symtab.h"
 
 namespace smartsock::lang {
 
@@ -45,6 +46,7 @@ bool Parser::parse(Program& out, ParseError& error) {
     error = error_;
     return false;
   }
+  resolve_symbols(out);
   return true;
 }
 

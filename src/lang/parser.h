@@ -39,8 +39,9 @@ class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  /// Parses the whole token stream into a Program. Returns false and fills
-  /// `error` on the first syntax error.
+  /// Parses the whole token stream into a Program with every identifier
+  /// bound (resolve_symbols). Returns false and fills `error` on the first
+  /// syntax error.
   bool parse(Program& out, ParseError& error);
 
   /// Convenience: lex + parse in one call.

@@ -2,7 +2,8 @@
 //
 // A Requirement is compiled once from the user's requirement file (§3.6.2)
 // and then evaluated by the wizard against every candidate server's
-// attribute set. The preferred/denied host lists are harvested with a
+// attributes. Compiling binds every predefined variable and temp to a
+// slot, so evaluation looks up only extension names. The preferred/denied host lists are harvested with a
 // server-independent pre-pass: the thesis's grammar evaluates both operands
 // of '&&' unconditionally, so user-side assignments always execute no matter
 // which server is under test.
@@ -28,6 +29,14 @@ class Requirement {
 
   /// Evaluates against one server's attributes.
   EvalOutcome evaluate(const AttributeSet& attrs) const;
+
+  /// Verdict for one server's predefined variables, reusing `scratch`
+  /// across servers (Evaluator::judge). The wizard's matcher calls this once
+  /// per sysdb record.
+  Verdict judge(const AttributeRow& row, Evaluator& scratch,
+                std::vector<std::string>* errors) const {
+    return scratch.judge(program_, row, errors);
+  }
 
   /// True if the server described by `attrs` qualifies.
   bool qualifies(const AttributeSet& attrs) const { return evaluate(attrs).qualified; }

@@ -1,6 +1,8 @@
 // Probe tests: procfs parsers, wire format, rate computation, UDP reporting.
 #include <gtest/gtest.h>
 
+#include "core/server_matcher.h"
+#include "monitor/system_monitor.h"
 #include "net/udp_socket.h"
 #include "probe/proc_reader.h"
 #include "probe/server_probe.h"
@@ -189,7 +191,7 @@ TEST(StatusReportWire, SkipsUnknownKeysForForwardCompat) {
 TEST(StatusReportAttrs, BindsServerVariables) {
   // The probe report binds 21 of the 22 server-side variables; the 22nd
   // (host_security_level) comes from secdb and is bound by the wizard.
-  auto attrs = sample_report().to_attributes();
+  auto attrs = core::sys_record_attributes(monitor::to_sys_record(sample_report(), 0));
   EXPECT_EQ(attrs.size(), 21u);
   EXPECT_EQ(attrs.count("host_security_level"), 0u);
   EXPECT_DOUBLE_EQ(attrs.at("host_system_load1"), 0.25);

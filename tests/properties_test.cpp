@@ -46,6 +46,11 @@ struct EstimatorCase {
   int mtu;
 };
 
+// Names the case by its fields, not its raw bytes (see EvalCase's PrintTo).
+void PrintTo(const EstimatorCase& c, std::ostream* os) {
+  *os << '{' << c.utilization << ", " << c.mtu << '}';
+}
+
 class EstimatorSweep : public testing::TestWithParam<EstimatorCase> {};
 
 TEST_P(EstimatorSweep, OptimalSizesWithinTwentyPercent) {
@@ -182,6 +187,10 @@ struct MatcherCase {
   std::size_t qualified;  // how many in the pool pass the requirement
   std::size_t requested;
 };
+
+void PrintTo(const MatcherCase& c, std::ostream* os) {
+  *os << '{' << c.pool << ", " << c.qualified << ", " << c.requested << '}';
+}
 
 class MatcherSweep : public testing::TestWithParam<MatcherCase> {};
 
